@@ -412,6 +412,14 @@ def _print_end_to_end(result) -> None:
 def _cmd_train(args) -> int:
     from . import api
 
+    for flag, value in (
+        ("--agents", args.agents),
+        ("--copies", args.copies),
+        ("--batch-size", args.batch_size),
+    ):
+        if value is not None and value < 1:
+            print(f"train: {flag} must be >= 1, got {value}", file=sys.stderr)
+            return 2
     resolved = resolve_config(
         file=args.spec,
         cli_overrides=_cli_overrides(args),

@@ -15,6 +15,8 @@ from typing import List, Optional
 
 import numpy as np
 
+from .geometry import Geometry
+
 __all__ = ["EntityState", "AgentState", "Action", "Entity", "Landmark", "Agent", "World"]
 
 
@@ -102,6 +104,10 @@ class World:
         self.damping = 0.25
         self.contact_force = 1.0e2
         self.contact_margin = 1.0e-3
+        self._geometry: Optional[Geometry] = None
+        self._geometry_key: Optional[tuple] = None
+        self._layout_key: Optional[tuple] = None
+        self._layout: Optional[tuple] = None
 
     @property
     def entities(self) -> List[Entity]:
@@ -116,6 +122,27 @@ class World:
     def scripted_agents(self) -> List[Agent]:
         """Environment-controlled agents (e.g. the fast prey)."""
         return [a for a in self.agents if a.action_callback is not None]
+
+    def geometry(self) -> Geometry:
+        """The :class:`Geometry` of the current state.
+
+        Memoized on the exact bytes of every position, the sizes and the
+        agent count, so any change to the state, direct assignment
+        included, rebuilds it.
+        """
+        entities = self.entities
+        if entities:
+            pos = np.concatenate(
+                [e.state.p_pos for e in entities], dtype=np.float64
+            ).reshape(len(entities), self.dim_p)
+        else:
+            pos = np.empty((0, self.dim_p))
+        sizes = np.array([e.size for e in entities], dtype=np.float64)
+        key = (len(self.agents), pos.tobytes(), sizes.tobytes())
+        if key != self._geometry_key:
+            self._geometry = Geometry(pos, sizes, len(self.agents))
+            self._geometry_key = key
+        return self._geometry
 
     # -- stepping -----------------------------------------------------------
 
@@ -142,38 +169,73 @@ class World:
     def _apply_environment_forces(
         self, forces: List[Optional[np.ndarray]]
     ) -> List[Optional[np.ndarray]]:
-        entities = self.entities
-        for a, entity_a in enumerate(entities):
-            for b, entity_b in enumerate(entities):
-                if b <= a:
-                    continue
-                fa, fb = self._get_collision_force(entity_a, entity_b)
-                if fa is not None:
-                    forces[a] = fa if forces[a] is None else forces[a] + fa
-                if fb is not None:
-                    forces[b] = fb if forces[b] is None else forces[b] + fb
-        return forces
+        """Add the soft-penetration contact force of every colliding pair.
 
-    def _get_collision_force(self, entity_a: Entity, entity_b: Entity):
-        """Soft-penetration collision response between two circles."""
-        if not (entity_a.collide and entity_b.collide):
-            return None, None
-        if entity_a is entity_b:
-            return None, None
-        delta_pos = entity_a.state.p_pos - entity_b.state.p_pos
-        dist = float(np.sqrt(np.sum(delta_pos**2)))
-        dist_min = entity_a.size + entity_b.size
+        One array program over the shared :class:`Geometry`, equal bit for
+        bit to the MPE per-pair loop: a pair's force is computed once, for
+        ``a < b`` along ``delta = pos_a - pos_b``, and ``b`` receives its
+        negation (so an exactly overlapping pair is pushed apart, ``a``
+        along +x and ``b`` along -x); every movable entity adds its forces
+        in increasing partner index, after its action force.
+        """
+        layout = self._contact_layout()
+        if layout is None:
+            return forces
+        a, b, receivers, pair_of, sign = layout
+        geom = self.geometry()
+        dist = geom.dist[a, b]
+        dist_min = geom.sizes[a] + geom.sizes[b]
         # softmax-style penetration: smooth, differentiable contact model
         k = self.contact_margin
         penetration = np.logaddexp(0, -(dist - dist_min) / k) * k
-        if dist > 0:
-            direction = delta_pos / dist
-        else:  # exactly overlapping: push along a fixed axis
-            direction = np.array([1.0, 0.0])
-        force = self.contact_force * direction * penetration
-        force_a = +force if entity_a.movable else None
-        force_b = -force if entity_b.movable else None
-        return force_a, force_b
+        apart = dist > 0
+        direction = geom.delta[a, b] / np.where(apart, dist, 1.0)[:, None]
+        if not apart.all():  # exactly overlapping: push along a fixed axis
+            direction[~apart] = np.eye(self.dim_p)[0]
+        force = self.contact_force * direction * penetration[:, None]
+        # each receiver sums [action force, its pair forces], left to right;
+        # -0.0 stands in for a missing action force (it adds exactly)
+        terms = np.empty((len(receivers), pair_of.shape[1] + 1, self.dim_p))
+        no_force = np.full(self.dim_p, -0.0)
+        terms[:, 0] = [no_force if forces[r] is None else forces[r] for r in receivers]
+        terms[:, 1:] = force[pair_of] * sign
+        totals = np.add.accumulate(terms, axis=1)[:, -1]
+        for r, total in zip(receivers, totals):
+            forces[r] = total
+        return forces
+
+    def _contact_layout(self):
+        """Index arrays of the contact program, rebuilt when flags change.
+
+        ``(a, b)`` are the entity indices of every colliding pair, ``a < b``
+        in loop order.  ``receivers`` are the movable colliding entities;
+        ``pair_of[r]`` lists receiver ``r``'s pairs by increasing partner
+        index and ``sign[r]`` is +1 where it is the pair's ``a``, else -1.
+        None when no contact force can act.
+        """
+        flags = tuple((e.collide, e.movable) for e in self.entities)
+        if flags != self._layout_key:
+            colliding = [i for i, (collide, _) in enumerate(flags) if collide]
+            n = len(colliding)
+            receivers = [k for k, i in enumerate(colliding) if flags[i][1]]
+            layout = None
+            if n >= 2 and receivers:
+                slot = np.full((n, n), -1)
+                upper = np.triu_indices(n, 1)
+                slot[upper] = slot[upper[1], upper[0]] = np.arange(len(upper[0]))
+                rows = np.array(receivers)
+                partners = np.arange(n - 1) + (np.arange(n - 1) >= rows[:, None])
+                idx = np.array(colliding)
+                sign = np.where(partners > rows[:, None], 1.0, -1.0)[..., None]
+                layout = (
+                    idx[upper[0]],
+                    idx[upper[1]],
+                    idx[rows].tolist(),
+                    slot[rows[:, None], partners],
+                    sign,
+                )
+            self._layout_key, self._layout = flags, layout
+        return self._layout
 
     def _integrate_state(self, forces: List[Optional[np.ndarray]]) -> None:
         for i, entity in enumerate(self.entities):
@@ -201,7 +263,7 @@ class World:
 
 
 def is_collision(agent_a: Agent, agent_b: Agent) -> bool:
-    """True when two circular agents overlap (used by scenario rewards)."""
+    """True when two circular agents overlap (``Geometry.contact`` per pair)."""
     delta = agent_a.state.p_pos - agent_b.state.p_pos
     dist = float(np.sqrt(np.sum(delta**2)))
     return dist < agent_a.size + agent_b.size

@@ -13,11 +13,12 @@ Box(72,) at 12, Box(144,) at 24 — exactly the paper's §II-B numbers.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..core import Agent, Landmark, World, is_collision
+from ..core import Agent, Landmark, World
+from ..geometry import Geometry
 from ..scenario import BaseScenario
 
 __all__ = ["CooperativeNavigationScenario"]
@@ -67,17 +68,10 @@ class CooperativeNavigationScenario(BaseScenario):
 
     def reward(self, agent: Agent, world: World) -> float:
         """Shared coverage reward with per-agent collision penalty."""
-        rew = 0.0
-        for landmark in world.landmarks:
-            dists = [
-                float(np.linalg.norm(a.state.p_pos - landmark.state.p_pos))
-                for a in world.agents
-            ]
-            rew -= min(dists)
+        rew, _, collisions = world.geometry().derive("coverage", _coverage)
         if agent.collide:
-            for other in world.agents:
-                if other is not agent and is_collision(agent, other):
-                    rew -= self.collision_penalty
+            for _ in range(collisions[world.agents.index(agent)]):
+                rew -= self.collision_penalty
         return rew
 
     def observation(self, agent: Agent, world: World) -> np.ndarray:
@@ -95,18 +89,21 @@ class CooperativeNavigationScenario(BaseScenario):
         return np.concatenate(parts)
 
     def benchmark_data(self, agent: Agent, world: World) -> dict:
-        collisions = 0
-        if agent.collide:
-            collisions = sum(
-                1
-                for other in world.agents
-                if other is not agent and is_collision(agent, other)
-            )
-        min_dists = [
-            min(
-                float(np.linalg.norm(a.state.p_pos - lm.state.p_pos))
-                for a in world.agents
-            )
-            for lm in world.landmarks
-        ]
-        return {"collisions": collisions, "coverage": -sum(min_dists)}
+        _, coverage, collisions = world.geometry().derive("coverage", _coverage)
+        return {
+            "collisions": collisions[world.agents.index(agent)] if agent.collide else 0,
+            "coverage": coverage,
+        }
+
+
+def _coverage(geom: Geometry) -> Tuple[float, float, List[int]]:
+    """The shared terms of one state: the coverage reward (each landmark's
+    nearest-agent distance subtracted in landmark order), the info
+    ``coverage`` (``-sum`` of the same distances) and each agent's count
+    of overlapping other agents."""
+    nearest = geom.landmark_norms.min(axis=0).tolist()
+    rew = 0.0
+    for dist in nearest:
+        rew -= dist
+    n = geom.num_agents
+    return rew, -sum(nearest), geom.contact[:n, :n].sum(axis=1).tolist()

@@ -81,6 +81,10 @@ class KeepAwayScenario(BaseScenario):
     def goal(self, world: World) -> Landmark:
         return world.landmarks[self._goal_index]
 
+    def goal_distances(self, world: World) -> List[float]:
+        """Every agent's ``np.linalg.norm`` distance to the goal landmark."""
+        return world.geometry().landmark_norms[:, self._goal_index].tolist()
+
     @staticmethod
     def good_agents(world: World) -> List[Agent]:
         return [a for a in world.agents if not a.adversary]
@@ -92,17 +96,16 @@ class KeepAwayScenario(BaseScenario):
     # -- rewards ---------------------------------------------------------------
 
     def reward(self, agent: Agent, world: World) -> float:
-        goal_pos = self.goal(world).state.p_pos
+        dists = self.goal_distances(world)
+        own_dist = dists[world.agents.index(agent)]
         if agent.adversary:
             # rewarded for every good agent's distance from the goal,
             # penalized for its own distance (it must contest the spot)
             good_dist = min(
-                float(np.linalg.norm(a.state.p_pos - goal_pos))
-                for a in self.good_agents(world)
+                d for d, a in zip(dists, world.agents) if not a.adversary
             )
-            own_dist = float(np.linalg.norm(agent.state.p_pos - goal_pos))
             return good_dist - own_dist
-        return -float(np.linalg.norm(agent.state.p_pos - goal_pos))
+        return -own_dist
 
     # -- observations -------------------------------------------------------------
 
@@ -123,8 +126,7 @@ class KeepAwayScenario(BaseScenario):
         return np.concatenate(parts)
 
     def benchmark_data(self, agent: Agent, world: World) -> dict:
-        goal_pos = self.goal(world).state.p_pos
         return {
-            "dist_to_goal": float(np.linalg.norm(agent.state.p_pos - goal_pos)),
+            "dist_to_goal": self.goal_distances(world)[world.agents.index(agent)],
             "is_adversary": agent.adversary,
         }

@@ -82,6 +82,10 @@ class PhysicalDeceptionScenario(BaseScenario):
     def goal(self, world: World) -> Landmark:
         return world.landmarks[self._goal_index]
 
+    def goal_distances(self, world: World) -> List[float]:
+        """Every agent's ``np.linalg.norm`` distance to the goal landmark."""
+        return world.geometry().landmark_norms[:, self._goal_index].tolist()
+
     @staticmethod
     def good_agents(world: World) -> List[Agent]:
         return [a for a in world.agents if not a.adversary]
@@ -93,17 +97,11 @@ class PhysicalDeceptionScenario(BaseScenario):
     # -- rewards -----------------------------------------------------------------
 
     def reward(self, agent: Agent, world: World) -> float:
-        goal_pos = self.goal(world).state.p_pos
-        adv_dists = [
-            float(np.linalg.norm(a.state.p_pos - goal_pos))
-            for a in self.adversaries(world)
-        ]
+        dists = self.goal_distances(world)
+        adv_dists = [d for d, a in zip(dists, world.agents) if a.adversary]
         if agent.adversary:
             return -min(adv_dists)
-        good_dists = [
-            float(np.linalg.norm(a.state.p_pos - goal_pos))
-            for a in self.good_agents(world)
-        ]
+        good_dists = [d for d, a in zip(dists, world.agents) if not a.adversary]
         # team reward: cover the goal, keep the adversary away from it
         return min(adv_dists) - min(good_dists)
 
@@ -126,8 +124,7 @@ class PhysicalDeceptionScenario(BaseScenario):
         return np.concatenate(parts)
 
     def benchmark_data(self, agent: Agent, world: World) -> dict:
-        goal_pos = self.goal(world).state.p_pos
         return {
-            "dist_to_goal": float(np.linalg.norm(agent.state.p_pos - goal_pos)),
+            "dist_to_goal": self.goal_distances(world)[world.agents.index(agent)],
             "is_adversary": agent.adversary,
         }

@@ -16,11 +16,12 @@ prey's).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..core import Agent, Landmark, World, is_collision
+from ..core import Agent, Landmark, World
+from ..geometry import Geometry, pair_norms
 from ..scenario import BaseScenario
 
 __all__ = ["PredatorPreyScenario", "default_prey_counts"]
@@ -124,37 +125,34 @@ class PredatorPreyScenario(BaseScenario):
     # -- rewards ---------------------------------------------------------------
 
     def reward(self, agent: Agent, world: World) -> float:
+        pursuit = self._pursuit(world)
+        i = world.agents.index(agent)
         if agent.adversary:
-            return self._predator_reward(agent, world)
-        return self._prey_reward(agent, world)
+            return self._predator_reward(agent, pursuit, i)
+        return self._prey_reward(agent, pursuit, i)
 
-    def _predator_reward(self, agent: Agent, world: World) -> float:
-        rew = 0.0
-        preys = self.preys(world)
-        if self.shaped:
-            for prey in preys:
-                rew -= 0.1 * min(
-                    float(np.linalg.norm(p.state.p_pos - prey.state.p_pos))
-                    for p in self.predators(world)
-                )
+    @staticmethod
+    def _pursuit(world: World) -> _Pursuit:
+        flags = tuple(a.adversary for a in world.agents)
+        return world.geometry().derive(
+            ("pursuit", flags), lambda geom: _Pursuit(geom, flags)
+        )
+
+    def _predator_reward(self, agent: Agent, pursuit: _Pursuit, i: int) -> float:
+        rew = pursuit.chase if self.shaped else 0.0
         if agent.collide:
-            for prey in preys:
-                if is_collision(prey, agent):
-                    rew += 10.0
+            for _ in range(pursuit.catches[i]):
+                rew += 10.0
         return rew
 
-    def _prey_reward(self, agent: Agent, world: World) -> float:
+    def _prey_reward(self, agent: Agent, pursuit: _Pursuit, i: int) -> float:
         rew = 0.0
-        predators = self.predators(world)
         if self.shaped:
-            for predator in predators:
-                rew += 0.1 * float(
-                    np.linalg.norm(agent.state.p_pos - predator.state.p_pos)
-                )
+            for dist in pursuit.near[:, pursuit.column[i]].tolist():
+                rew += 0.1 * dist
         if agent.collide:
-            for predator in predators:
-                if is_collision(agent, predator):
-                    rew -= 10.0
+            for _ in range(pursuit.catches[i]):
+                rew -= 10.0
         # keep prey inside the arena: escalating boundary penalty
         for coord in agent.state.p_pos:
             rew -= self._bound_penalty(abs(float(coord)))
@@ -189,7 +187,36 @@ class PredatorPreyScenario(BaseScenario):
     def benchmark_data(self, agent: Agent, world: World) -> dict:
         collisions = 0
         if agent.adversary and agent.collide:
-            collisions = sum(
-                1 for prey in self.preys(world) if is_collision(prey, agent)
-            )
+            collisions = self._pursuit(world).catches[world.agents.index(agent)]
         return {"collisions": collisions}
+
+
+class _Pursuit:
+    """Predator-prey terms of one state, shared by every agent's reward.
+
+    ``near`` holds the (predators, prey) ``np.linalg.norm`` distances and
+    ``column[i]`` is agent ``i``'s column when it is a prey.  ``chase`` is
+    the shaped predator reward: each prey's nearest-predator distance,
+    times 0.1, subtracted in prey order.  ``catches[i]`` counts the prey
+    that predator ``i`` overlaps, or the predators overlapping prey ``i``.
+    """
+
+    def __init__(self, geom: Geometry, flags: Tuple[bool, ...]) -> None:
+        predators = [i for i, adversary in enumerate(flags) if adversary]
+        prey = [i for i, adversary in enumerate(flags) if not adversary]
+        block = (
+            np.array(predators, dtype=np.intp)[:, None],
+            np.array(prey, dtype=np.intp),
+        )
+        self.near = pair_norms(geom.delta[block])
+        self.column = {i: k for k, i in enumerate(prey)}
+        self.chase = 0.0
+        if predators:
+            for dist in self.near.min(axis=0).tolist():
+                self.chase -= 0.1 * dist
+        caught = geom.contact[block]
+        self.catches = [0] * len(flags)
+        for i, count in zip(predators, caught.sum(axis=1).tolist()):
+            self.catches[i] = count
+        for i, count in zip(prey, caught.sum(axis=0).tolist()):
+            self.catches[i] = count

@@ -80,8 +80,9 @@ class SyncVectorEnv:
             raise ValueError(
                 f"expected {self.num_agents} per-agent action arrays, got {len(actions)}"
             )
+        actions = [np.asarray(a) for a in actions]
         for a in actions:
-            if np.asarray(a).shape[0] != self.num_envs:
+            if a.shape[0] != self.num_envs:
                 raise ValueError(
                     f"each action array must have {self.num_envs} rows"
                 )
@@ -89,8 +90,7 @@ class SyncVectorEnv:
         dones = np.zeros((self.num_envs, self.num_agents), dtype=bool)
         infos: List[dict] = []
         for k, env in enumerate(self.envs):
-            per_env_actions = [np.asarray(actions[a])[k] for a in range(self.num_agents)]
-            obs, rews, done_flags, info = env.step(per_env_actions)
+            obs, rews, done_flags, info = env.step([a[k] for a in actions])
             rewards[k] = rews
             dones[k] = done_flags
             infos.append(info)

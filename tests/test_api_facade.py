@@ -308,6 +308,17 @@ class TestCli:
         assert code == 2
         assert "not both" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag", ["--agents", "--copies", "--batch-size"]
+    )
+    def test_train_rejects_non_positive_counts(self, flag, capsys):
+        from repro.cli import main
+
+        code = main(["train", "--episodes", "1", "--steps", "10", flag, "0"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"train: {flag} must be >= 1, got 0\n"
+
     def test_train_spec_file_round_trip(self, tmp_path, capsys):
         """`repro train --spec file.toml` resolves config from the file."""
         from repro.cli import main

@@ -152,7 +152,9 @@ class TestCollisions:
         world.step()
         a, b = world.agents
         assert np.all(np.isfinite(a.state.p_vel))
-        assert a.state.p_vel[0] != b.state.p_vel[0]
+        assert a.state.p_vel[0] > 0  # the lower index goes +x
+        assert a.state.p_vel[1] == 0.0
+        np.testing.assert_array_equal(a.state.p_vel, -b.state.p_vel)
 
     def test_is_collision_threshold(self):
         a, b = Agent("a"), Agent("b")
