@@ -79,7 +79,7 @@ def _run(num_agents, copies, steps, workers, prefetch, smoke):
     )
     try:
         result = train_steps(
-            vec, trainer, steps, prefetch=prefetch, prefetch_seed=17
+            vec, trainer, steps, prefetch=prefetch, seed=17
         )
     finally:
         if hasattr(vec, "close"):

@@ -23,7 +23,7 @@ import numpy as np
 
 import repro
 from repro.envs import make, make_vector_env
-from repro.training import MetricsCollector, collect_steps, run_episode_with_metrics
+from repro.training import MetricsCollector, collect_steps, run_episode
 
 
 def sequential_collect(env_seeds, trainer, steps):
@@ -95,7 +95,7 @@ def main() -> None:
     )
     collector = MetricsCollector()
     for _ in range(5):
-        run_episode_with_metrics(env, trainer_pp, collector, explore=True, learn=False)
+        run_episode(env, trainer_pp, explore=True, learn=False, metrics=collector)
     summary = collector.summary()
     print(f"  episodes: {int(summary['episodes'])}, "
           f"mean catches/episode: {summary['mean_collisions']:.2f}")

@@ -10,11 +10,12 @@ reduced to argument parsing plus a call into this module::
     outcome = api.serve(users=500, requests=10_000)
     summary = api.sweep(api.load_sweep_spec("sweeps/smoke.toml"), "registry/")
 
-:func:`train` routes between the three execution engines exactly like
-``repro train``: episode mode (serial, the paper's characterized loop),
-pipeline mode (``steps`` over vectorized copies, optional prefetch
-overlap), and service mode (sharded replay server + learner processes,
-chosen when the config asks for >1 shard or learner).  :func:`execute_run`
+:func:`train` runs one of the two training drivers exactly like
+``repro train``: episode mode (serial, the paper's characterized loop)
+or pipeline mode (``steps`` over vectorized copies, optional prefetch
+overlap); the pipeline driver itself switches to service mode (sharded
+replay server + learner processes) when the config asks for >1 shard or
+learner.  :func:`execute_run`
 is the sweep-child entry point: it materializes one
 :class:`~repro.sweep.spec.RunSpec` into a registry run directory.
 
@@ -150,8 +151,8 @@ def _train_steps(
 ) -> RunResult:
     from .algos.variants import build_trainer
     from .envs.factory import make_vector_env, resolve_env_workers
+    from .training.loop import train_steps
 
-    service = cfg.resolved_replay_shards > 1 or cfg.learners > 1
     workers = resolve_env_workers(cfg.env_workers)
     vec = make_vector_env(
         env_name, num_agents=num_agents, copies=copies, seed=seed,
@@ -159,43 +160,21 @@ def _train_steps(
     )
     try:
         if verbose:
-            detail = (
-                f"through the replay service [shards={cfg.resolved_replay_shards}, "
-                f"learners={cfg.learners}, staleness={cfg.param_staleness}]"
-                if service
-                else f"[{type(vec).__name__}, workers={max(workers, 1)}, "
-                f"prefetch={'on' if cfg.prefetch else 'off'}]"
-            )
             print(
                 f"training {algorithm}/{env_name}/{num_agents} agents "
                 f"({variant}) for {steps} vector steps x {copies} copies "
-                f"{detail}"
+                f"[{type(vec).__name__}, workers={max(workers, 1)}]"
             )
         trainer = build_trainer(
             algorithm, variant, vec.obs_dims, vec.act_dims,
             config=cfg, seed=seed,
         )
-        if service:
-            from .training.service_loop import train_service
-
-            return train_service(
-                vec, trainer, steps,
-                shards=cfg.resolved_replay_shards,
-                learners=cfg.learners,
-                variant=variant,
-                env_name=env_name,
-                staleness=cfg.param_staleness,
-                seed=seed,
-                telemetry=recorder,
-            )
-        from .training.loop import train_steps
-
         return train_steps(
             vec, trainer, steps,
             variant=variant,
             env_name=env_name,
             prefetch=cfg.prefetch,
-            prefetch_seed=seed,
+            seed=seed,
             telemetry=recorder,
         )
     finally:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -409,17 +409,25 @@ def _print_end_to_end(result) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _rejects_non_positive(verb: str, *flags: Tuple[str, Optional[int]]) -> bool:
+    """Report the first ``(flag, value)`` below 1 as a one-line usage error."""
+    for flag, value in flags:
+        if value is not None and value < 1:
+            print(f"{verb}: {flag} must be >= 1, got {value}", file=sys.stderr)
+            return True
+    return False
+
+
 def _cmd_train(args) -> int:
     from . import api
 
-    for flag, value in (
+    if _rejects_non_positive(
+        "train",
         ("--agents", args.agents),
         ("--copies", args.copies),
         ("--batch-size", args.batch_size),
     ):
-        if value is not None and value < 1:
-            print(f"train: {flag} must be >= 1, got {value}", file=sys.stderr)
-            return 2
+        return 2
     resolved = resolve_config(
         file=args.spec,
         cli_overrides=_cli_overrides(args),
@@ -431,6 +439,14 @@ def _cmd_train(args) -> int:
             "update_every": 25,
         },
     )
+    cfg = resolved.config
+    if cfg.learners > args.agents:
+        print(
+            f"train: --learners {cfg.learners} exceeds --agents {args.agents} "
+            f"(each learner owns at least one agent)",
+            file=sys.stderr,
+        )
+        return 2
     result = api.train(
         resolved,
         algorithm=args.algorithm,
@@ -446,20 +462,14 @@ def _cmd_train(args) -> int:
     )
     if args.telemetry is not None:
         print(f"telemetry written to {args.telemetry}")
-    cfg = resolved.config
     if args.steps is not None:
-        service = cfg.resolved_replay_shards > 1 or cfg.learners > 1
         print(
             f"done: {result.total_seconds:.1f}s, {result.update_rounds} update rounds, "
             f"{result.extra['transitions']:.0f} transitions "
-            f"({result.extra['steps_per_second']:.0f} steps/s)"
-            + (
-                f", mean step reward {result.extra['mean_step_reward']:.3f}"
-                if not service
-                else ""
-            )
+            f"({result.extra['steps_per_second']:.0f} steps/s), "
+            f"mean step reward {result.extra['mean_step_reward']:.3f}"
         )
-        if cfg.prefetch and "prefetch_hits" in result.extra:
+        if "prefetch_hits" in result.extra:
             print(
                 f"prefetch: {result.extra['prefetch_hits']:.0f} hits / "
                 f"{result.extra['prefetch_misses']:.0f} misses / "
@@ -469,14 +479,16 @@ def _cmd_train(args) -> int:
             )
         if "learner_rounds" in result.extra:
             print(
-                f"service: {result.extra['learner_rounds']:.0f} learner rounds, "
+                f"service: {result.extra['replay_shards']:.0f} shards x "
+                f"{result.extra['learners']:.0f} learners, "
+                f"{result.extra['learner_rounds']:.0f} learner rounds, "
                 f"{result.extra['sampled_rows']:.0f} rows sampled "
                 f"({result.extra['sampled_rows_per_s']:.0f} rows/s aggregate), "
                 f"learner utilization {result.extra['learner_utilization']:.2f}, "
                 f"staleness mean/max {result.extra['staleness_mean']:.1f}/"
                 f"{result.extra['staleness_max']:.0f}"
             )
-        if not service:
+        else:
             _print_end_to_end(result)
     else:
         print(
@@ -522,6 +534,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    if _rejects_non_positive("profile", ("--rounds", args.rounds)):
+        return 2
     resolved = resolve_config(
         cli_overrides=_cli_overrides(args),
         defaults={"batch_size": 1024, "update_every": 100},
@@ -558,6 +572,8 @@ def _cmd_sample(args) -> int:
     )
     from .experiments.counters_study import env_obs_dims
 
+    if _rejects_non_positive("sample", ("--batch-size", args.batch_size)):
+        return 2
     obs_dims = env_obs_dims(args.env, args.agents)
     act_dims = [5] * args.agents
     rng = np.random.default_rng(args.seed)
@@ -692,6 +708,8 @@ def _cmd_serve(args) -> int:
         SERVE_QUEUE_WAIT,
     )
 
+    if _rejects_non_positive("serve", ("--users", args.users)):
+        return 2
     hidden = tuple(args.hidden)
     mode = (
         f"open loop at {args.open_rate:.0f} req/s for {args.duration:.1f}s"

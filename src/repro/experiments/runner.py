@@ -64,5 +64,6 @@ def run_workload(
         variant=spec.variant,
         env_name=spec.env_name,
         progress_every=progress_every,
+        seed=spec.seed,
         telemetry=telemetry,
     )

@@ -164,7 +164,7 @@ class ShardedReplay:
     sum-tree is a global structure over one index space, and splitting
     it across shards changes the sampling distribution.  Orchestration
     layers route PER configs through the single-shard guard instead
-    (see :func:`repro.training.service_loop.train_service`).
+    (see :func:`repro.training.loop.train_steps`).
     """
 
     def __init__(

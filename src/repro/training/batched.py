@@ -21,14 +21,18 @@ fancy-index row copy and no per-field splitting.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..algos.maddpg import MADDPGTrainer
 from ..profiling.phases import ACTION_SELECTION, ENV_STEP
 
-__all__ = ["collect_steps"]
+__all__ = ["collect_steps", "per_agent_fields"]
+
+#: A learner's per-step store: ``(obs, actions, rewards, next_obs, dones)``
+#: of one vector sweep in, rows stored out.
+Store = Callable[..., int]
 
 
 def _ingest_chunk_bounds(trainer: MADDPGTrainer, total: int, pos: int) -> int:
@@ -47,40 +51,14 @@ def _ingest_chunk_bounds(trainer: MADDPGTrainer, total: int, pos: int) -> int:
 
 
 def _ingest_chunked(
-    trainer: MADDPGTrainer,
-    obs: List[np.ndarray],
-    act: List[np.ndarray],
-    rew: List[np.ndarray],
-    next_obs: List[np.ndarray],
-    done: List[np.ndarray],
+    trainer: MADDPGTrainer, total: int, write: Callable[[int, int], None]
 ) -> int:
-    """Store K transitions and run updates exactly where the sequential
-    store-one/update-once loop would."""
-    total = rew[0].shape[0]
+    """Store ``total`` rows through ``write(start, end)`` and run updates
+    exactly where the sequential store-one/update-once loop would."""
     pos = 0
     while pos < total:
-        take = _ingest_chunk_bounds(trainer, total, pos)
-        end = pos + take
-        trainer.experience_batch(
-            [o[pos:end] for o in obs],
-            [a[pos:end] for a in act],
-            [r[pos:end] for r in rew],
-            [no[pos:end] for no in next_obs],
-            [d[pos:end] for d in done],
-        )
-        trainer.update()
-        pos = end
-    return total
-
-
-def _ingest_chunked_packed(trainer: MADDPGTrainer, rows: np.ndarray) -> int:
-    """Packed-row twin of :func:`_ingest_chunked` (same trigger points)."""
-    total = rows.shape[0]
-    pos = 0
-    while pos < total:
-        take = _ingest_chunk_bounds(trainer, total, pos)
-        end = pos + take
-        trainer.experience_packed(rows[pos:end])
+        end = pos + _ingest_chunk_bounds(trainer, total, pos)
+        write(pos, end)
         trainer.update()
         pos = end
     return total
@@ -102,19 +80,71 @@ def _use_packed_ingest(vec_env, trainer: MADDPGTrainer) -> bool:
     return arena is not None and arena.schema == trainer.replay.schema == vec_env.schema
 
 
+def per_agent_fields(
+    num_agents: int, obs, actions, rewards: np.ndarray, next_obs, dones: np.ndarray
+) -> Tuple[List[np.ndarray], ...]:
+    """One vector sweep as per-agent ``(K, .)`` field stacks.
+
+    ``obs`` is the pre-step observation (post-reset on copies that
+    terminated last step).  On auto-reset steps the stacked ``next_obs``
+    is the post-reset observation; the stored terminal flag cuts the
+    bootstrap there anyway.
+    """
+    agents = range(num_agents)
+    return (
+        [np.asarray(obs[a]) for a in agents],
+        [np.asarray(actions[a]) for a in agents],
+        [rewards[:, a] for a in agents],
+        [np.asarray(next_obs[a]) for a in agents],
+        [dones[:, a].astype(np.float64) for a in agents],
+    )
+
+
+def _ingest_store(vec_env, trainer: MADDPGTrainer) -> Store:
+    """The in-process learner's store: ingest, updating at the cadence."""
+    if _use_packed_ingest(vec_env, trainer):
+
+        def store_packed(*_sweep) -> int:
+            # workers already packed this step's K joint-schema rows into
+            # the shared transition block; ingest them verbatim
+            rows = vec_env.packed_transitions()
+            return _ingest_chunked(
+                trainer, rows.shape[0], lambda a, b: trainer.experience_packed(rows[a:b])
+            )
+
+        return store_packed
+    num_agents = vec_env.num_agents
+
+    def store_fields(obs, actions, rewards, next_obs, dones) -> int:
+        fields = per_agent_fields(num_agents, obs, actions, rewards, next_obs, dones)
+        return _ingest_chunked(
+            trainer,
+            rewards.shape[0],
+            lambda a, b: trainer.experience_batch(*[[f[a:b] for f in fs] for fs in fields]),
+        )
+
+    return store_fields
+
+
 def collect_steps(
     vec_env,
     trainer: MADDPGTrainer,
     steps: int,
     explore: bool = True,
     learn: bool = True,
+    store: Optional[Store] = None,
 ) -> Dict[str, float]:
     """Advance all K copies ``steps`` times with batched action selection.
 
     Accepts any vector env with the ``SyncVectorEnv`` API; a
     :class:`~repro.envs.parallel.ParallelVectorEnv` additionally gets its
     worker-wait time attributed (``env_step.worker_wait``) and, with
-    timestep-major storage, the packed zero-copy ingest path.  Returns
+    timestep-major storage, the packed zero-copy ingest path.
+
+    Each sweep goes to ``store`` (a learner's per-step store, see
+    :class:`~repro.training.service_loop.ServiceLearner`); by default it
+    is ingested into the trainer's own replay with update rounds at the
+    paper's cadence, and ``learn=False`` stores nothing.  Returns
     collection statistics: transitions stored, update rounds run, and the
     mean per-step reward across copies and agents.
     """
@@ -124,12 +154,13 @@ def collect_steps(
         vec_env.attach_timer(trainer.timer)
     if hasattr(vec_env, "attach_telemetry"):
         vec_env.attach_telemetry(trainer.telemetry)
+    if store is None and learn:
+        store = _ingest_store(vec_env, trainer)
     obs = vec_env.reset()
     num_agents = vec_env.num_agents
     rewards_sum = 0.0
     updates_before = trainer.update_rounds
     stored = 0
-    packed = learn and _use_packed_ingest(vec_env, trainer)
     for _ in range(steps):
         # one batched forward per agent covers all K copies
         with trainer.timer.phase(ACTION_SELECTION):
@@ -140,24 +171,8 @@ def collect_steps(
         with trainer.timer.phase(ENV_STEP):
             next_obs, rewards, dones, _infos = vec_env.step(actions)
         rewards_sum += float(rewards.mean())
-        if packed:
-            # workers already packed this step's K joint-schema rows into
-            # the shared transition block; ingest them verbatim
-            stored += _ingest_chunked_packed(trainer, vec_env.packed_transitions())
-        elif learn:
-            # per-agent (K, .) stacks; `obs` is the pre-step observation
-            # (post-reset on copies that terminated last step).  On
-            # auto-reset steps the stacked next_obs is the post-reset
-            # observation; the stored next_obs uses the terminal flag so
-            # the bootstrap is cut there anyway.
-            stored += _ingest_chunked(
-                trainer,
-                [np.asarray(obs[a]) for a in range(num_agents)],
-                [np.asarray(actions[a]) for a in range(num_agents)],
-                [rewards[:, a] for a in range(num_agents)],
-                [np.asarray(next_obs[a]) for a in range(num_agents)],
-                [dones[:, a].astype(np.float64) for a in range(num_agents)],
-            )
+        if store is not None:
+            stored += store(obs, actions, rewards, next_obs, dones)
         obs = next_obs
     return {
         "transitions": float(stored),

@@ -4,7 +4,8 @@ Beyond reward curves, the paper's tasks have natural success metrics:
 predator *catch counts* (collisions with prey) in predator-prey and
 *landmark coverage* in cooperative navigation.  The collector consumes
 the ``info["n"]`` benchmark dictionaries the environments emit each
-step and aggregates per-episode statistics.
+step and aggregates per-episode statistics; pass one to
+:func:`repro.training.loop.run_episode` as ``metrics=``.
 """
 
 from __future__ import annotations
@@ -103,22 +104,3 @@ class MetricsCollector:
             pass
         return out
 
-
-def run_episode_with_metrics(env, trainer, collector: MetricsCollector, explore=True, learn=True):
-    """Like :func:`repro.training.loop.run_episode` but feeding a collector."""
-    obs = env.reset()
-    collector.start_episode(env.num_agents)
-    totals = [0.0] * env.num_agents
-    done_flags = [False] * env.num_agents
-    while not all(done_flags):
-        actions = trainer.act(obs, explore=explore)
-        next_obs, rewards, done_flags, info = env.step(actions)
-        collector.record_step(info)
-        if learn:
-            trainer.experience(obs, actions, rewards, next_obs, done_flags)
-            trainer.update()
-        for i, r in enumerate(rewards):
-            totals[i] += r
-        obs = next_obs
-    collector.end_episode()
-    return totals

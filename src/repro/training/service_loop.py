@@ -1,256 +1,159 @@
-"""Service-mode training: sharded replay service + multi-learner updates.
+"""The replay-service learner: sharded replay + multi-learner updates.
 
-:func:`train_service` is the distributed counterpart of
-:func:`~repro.training.loop.train_steps`.  The main process becomes a
-pure rollout producer: batched action selection over K env copies,
-pushing each sweep's packed joint-schema rows to the
-:class:`~repro.replay.service.ReplayShardService`, and refreshing its
-actor parameters from the
-:class:`~repro.replay.params.SharedParameterStore` under the configured
-staleness bound.  L learner processes (the
+:func:`~repro.training.loop.train_steps` runs through a
+:class:`ServiceLearner` when the trainer's config asks for more than one
+replay shard or learner.  The main process stays a pure rollout producer
+on the ordinary vector collector; only its per-step store differs: each
+sweep's packed joint-schema rows go to the
+:class:`~repro.replay.service.ReplayShardService`, and the producer's
+actors refresh from the :class:`~repro.replay.params.SharedParameterStore`
+every ``param_staleness`` sweeps.  L learner processes (the
 :class:`~repro.replay.coordinator.MultiLearnerCoordinator`'s partition)
-pull mini-batches from the service and publish versioned snapshots —
-free-running, with no lock-step barrier anywhere.
-
-Anchor guarantees (property-tested):
-
-* ``shards <= 1 and learners <= 1`` delegates to :func:`train_steps`
-  unchanged — in-process mode **is** the serial loop, bit for bit.
-* Prioritized (PER) configs always route through that guard: PER's
-  sum-tree is one global structure whose draws and priority write-backs
-  are interleaved with updates; sharding it (or updating off injected
-  batches) would change the sampling distribution.  The degradation is
-  explicit: a warning plus a ``service.per_guard`` telemetry counter.
+pull mini-batches and publish versioned snapshots, free-running with no
+lock-step barrier.
 """
 
 from __future__ import annotations
 
-import time
-import warnings
-from typing import List, Optional
+from typing import Optional
 
-import numpy as np
-
-from ..profiling.phases import ACTION_SELECTION, ENV_STEP, PARAM_REFRESH, SERVICE_PUSH
+from ..profiling.phases import PARAM_REFRESH, SERVICE_PUSH
 from ..replay.coordinator import MultiLearnerCoordinator
 from ..replay.params import ParameterSubscriber, SharedParameterStore, agent_param_arrays
 from ..replay.service import ReplayShardService
-from ..replay.sharding import resolve_replay_shards
 from ..telemetry import TelemetryRecorder
-from .loop import train_steps
+from .batched import per_agent_fields
 from .results import RunResult
 
-__all__ = ["train_service"]
+__all__ = ["ServiceLearner"]
 
 
-def train_service(
-    vec_env,
-    trainer,
-    steps: int,
-    shards: Optional[int] = None,
-    learners: int = 1,
-    variant: str = "service",
-    env_name: str = "env",
-    explore: bool = True,
-    policy: str = "round_robin",
-    staleness: Optional[int] = None,
-    max_rounds: Optional[int] = None,
-    seed: int = 0,
-    telemetry: Optional[TelemetryRecorder] = None,
-) -> RunResult:
-    """Train over a vector env through the sharded replay service.
+class ServiceLearner:
+    """S shard servers, a parameter store and L learner processes.
 
-    Parameters mirror :func:`train_steps` plus the service topology:
-    ``shards`` (None → ``REPRO_REPLAY_SHARDS`` → 1), ``learners``,
-    routing ``policy``, and the actor ``staleness`` bound — the rollout
-    producer re-polls the parameter store every ``staleness`` vector
-    sweeps (default: the config's ``param_staleness``).
+    Construction creates the service, the store and the coordinator;
+    :meth:`start` forks the learners; :meth:`store` is the producer's
+    per-sweep store for ``collect_steps``; :meth:`close` stops the
+    learners, merges their parameters back into the trainer and releases
+    every process and shared-memory segment; :meth:`report` writes the
+    service stats into the run's result and telemetry.
     """
-    shards = resolve_replay_shards(shards)
-    learners = max(int(learners), 1)
-    if staleness is None:
-        staleness = getattr(trainer.config, "param_staleness", 1)
-    staleness = max(int(staleness), 1)
-    if trainer.replay.prioritized and (shards > 1 or learners > 1):
-        warnings.warn(
-            "prioritized replay routes through the single-shard guard: "
-            "PER's global sum-tree cannot shard without changing the "
-            "sampling distribution; running the serial in-process loop",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        if telemetry is not None and telemetry.enabled:
-            telemetry.counter("service.per_guard", 1.0, unit="runs")
-        shards, learners = 1, 1
-    if shards <= 1 and learners <= 1:
-        # the bit-exact anchor: in-process mode is the serial loop
-        return train_steps(
-            vec_env,
-            trainer,
-            steps,
-            variant=variant,
-            env_name=env_name,
-            explore=explore,
-            telemetry=telemetry,
-        )
-    if steps <= 0:
-        raise ValueError(f"steps must be positive, got {steps}")
-    if telemetry is not None and telemetry.enabled:
-        trainer.attach_telemetry(telemetry)
-        telemetry.manifest(
-            seed=seed,
-            config=trainer.config,
-            label=f"train_service/{env_name}/{trainer.name}/{variant}",
-            backend=trainer.backend.describe(),
-        )
-        telemetry.counter("backend.selected", 1.0, unit=trainer.backend.name)
-        telemetry.counter("service.shards", float(shards), unit="shards")
-        telemetry.counter("service.learners", float(learners), unit="learners")
-    if hasattr(vec_env, "attach_timer"):
-        vec_env.attach_timer(trainer.timer)
-    if hasattr(vec_env, "attach_telemetry"):
-        vec_env.attach_telemetry(trainer.telemetry)
 
-    config = trainer.config
-    service = ReplayShardService(
-        trainer.obs_dims,
-        trainer.act_dims,
-        capacity=config.buffer_capacity,
-        num_shards=shards,
-        num_clients=learners,
-        max_push=max(vec_env.num_envs, 1),
-        max_batch=max(config.batch_size, 1),
-        policy=policy,
-        seed=seed,
-    )
-    store = SharedParameterStore.for_agents(trainer.agents)
-    coordinator = MultiLearnerCoordinator(
+    def __init__(
+        self,
+        vec_env,
         trainer,
-        service,
-        store,
-        learners,
-        batch_size=config.batch_size,
-        warmup=max(config.warmup, config.batch_size),
-        max_rounds=max_rounds,
-        seed=seed + 1,
-    )
-    # the producer's own actor copies refresh from the same store the
-    # learners publish into — every agent is a subscribed partition
-    subscriber = ParameterSubscriber(
-        store,
-        {p: agent_param_arrays(trainer.agents[p]) for p in range(trainer.num_agents)},
-    )
-    num_agents = vec_env.num_agents
-    transitions = 0
-    rewards_sum = 0.0
-    start = time.perf_counter()
-    service_stats: dict = {}
-    try:
-        coordinator.start()
-        obs = vec_env.reset()
-        for sweep in range(steps):
-            with trainer.timer.phase(ACTION_SELECTION):
-                actions: List[np.ndarray] = [
-                    trainer.agents[a].act(obs[a], rng=trainer.rng, explore=explore)
-                    for a in range(num_agents)
-                ]
-            with trainer.timer.phase(ENV_STEP):
-                next_obs, rewards, dones, _infos = vec_env.step(actions)
-            rewards_sum += float(rewards.mean())
-            if hasattr(vec_env, "packed_transitions"):
-                rows = vec_env.packed_transitions()
-            else:
-                rows = trainer.replay.schema.pack_batch(
-                    [np.asarray(obs[a]) for a in range(num_agents)],
-                    [np.asarray(actions[a]) for a in range(num_agents)],
-                    [rewards[:, a] for a in range(num_agents)],
-                    [np.asarray(next_obs[a]) for a in range(num_agents)],
-                    [dones[:, a].astype(np.float64) for a in range(num_agents)],
+        shards: int,
+        learners: int,
+        seed: int = 0,
+        telemetry: Optional[TelemetryRecorder] = None,
+    ) -> None:
+        config = trainer.config
+        self.vec_env = vec_env
+        self.trainer = trainer
+        self.telemetry = telemetry
+        self.staleness = config.param_staleness
+        self.service = ReplayShardService(
+            trainer.obs_dims,
+            trainer.act_dims,
+            capacity=config.buffer_capacity,
+            num_shards=shards,
+            num_clients=learners,
+            max_push=max(vec_env.num_envs, 1),
+            max_batch=max(config.batch_size, 1),
+            seed=seed,
+        )
+        self.params = SharedParameterStore.for_agents(trainer.agents)
+        self.coordinator = MultiLearnerCoordinator(
+            trainer,
+            self.service,
+            self.params,
+            learners,
+            batch_size=config.batch_size,
+            warmup=max(config.warmup, config.batch_size),
+            seed=seed + 1,
+        )
+        # the producer's own actor copies refresh from the same store the
+        # learners publish into — every agent is a subscribed partition
+        self.subscriber = ParameterSubscriber(
+            self.params,
+            {p: agent_param_arrays(trainer.agents[p]) for p in range(trainer.num_agents)},
+        )
+        self.sweeps = 0
+        self.merge: Optional[dict] = None
+        self.shard_stats: list = []
+        if telemetry is not None:
+            telemetry.counter("service.shards", float(shards), unit="shards")
+            telemetry.counter(
+                "service.learners", float(self.coordinator.num_learners), unit="learners"
+            )
+
+    def start(self) -> None:
+        self.coordinator.start()
+
+    def store(self, obs, actions, rewards, next_obs, dones) -> int:
+        """Push one sweep's packed rows; refresh actors on the staleness beat."""
+        trainer = self.trainer
+        if hasattr(self.vec_env, "packed_transitions"):
+            rows = self.vec_env.packed_transitions()
+        else:
+            rows = trainer.replay.schema.pack_batch(
+                *per_agent_fields(
+                    self.vec_env.num_agents, obs, actions, rewards, next_obs, dones
                 )
-            with trainer.timer.phase(SERVICE_PUSH):
-                pushed = service.push(rows)
-            transitions += pushed
-            trainer.total_env_steps += pushed
-            if (sweep + 1) % staleness == 0:
-                with trainer.timer.phase(PARAM_REFRESH):
-                    subscriber.poll()
-                if telemetry is not None and telemetry.enabled:
-                    telemetry.series(
-                        "param.staleness", sweep, float(subscriber.staleness[-1])
-                    )
-            obs = next_obs
-    finally:
+            )
+        with trainer.timer.phase(SERVICE_PUSH):
+            pushed = self.service.push(rows)
+        trainer.total_env_steps += pushed
+        self.sweeps += 1
+        if self.sweeps % self.staleness == 0:
+            with trainer.timer.phase(PARAM_REFRESH):
+                self.subscriber.poll()
+            if self.telemetry is not None:
+                self.telemetry.series(
+                    "param.staleness", self.sweeps - 1, float(self.subscriber.staleness[-1])
+                )
+        return pushed
+
+    def close(self) -> None:
         try:
-            merge = coordinator.stop() if coordinator.started else None
+            if self.coordinator.started:
+                self.merge = self.coordinator.stop()
             # one last refresh so the subscriber's applied-version
             # bookkeeping stays consistent with the final merged nets
-            subscriber.poll()
-            service_stats = {"shards": service.stats(), "merge": merge}
+            self.subscriber.poll()
+            self.shard_stats = self.service.stats()
         finally:
-            service.close()
-            store.close()
+            self.service.close()
+            self.params.close()
 
-    total_seconds = time.perf_counter() - start
-    result = RunResult(
-        algorithm=trainer.name,
-        variant=variant,
-        env_name=env_name,
-        num_agents=trainer.num_agents,
-        episodes=0,
-        total_seconds=total_seconds,
-        phase_totals=trainer.timer.totals(),
-        update_rounds=trainer.update_rounds,
-        env_steps=trainer.total_env_steps,
-    )
-    merge = service_stats["merge"]
-    shard_stats = service_stats["shards"]
-    result.extra["transitions"] = float(transitions)
-    result.extra["mean_step_reward"] = rewards_sum / steps
-    result.extra["steps_per_second"] = transitions / max(total_seconds, 1e-12)
-    result.extra["replay_shards"] = float(shards)
-    result.extra["learners"] = float(learners)
-    result.extra["learner_rounds"] = float(merge["rounds"])
-    result.extra["sampled_rows"] = float(merge["rows_pulled"])
-    result.extra["sampled_rows_per_s"] = float(merge["sampled_rows_per_s"])
-    result.extra["learner_utilization"] = float(merge["utilization"])
-    result.extra["staleness_mean"] = float(merge["staleness_mean"])
-    result.extra["staleness_max"] = float(merge["staleness_max"])
-    for stats in shard_stats:
-        result.extra[f"shard{stats['shard']}_ingested"] = float(stats["ingested"])
-        result.extra[f"shard{stats['shard']}_sampled"] = float(stats["sampled"])
-    if telemetry is not None and telemetry.enabled:
-        telemetry.counter("update_rounds", result.update_rounds, unit="rounds")
-        telemetry.counter("transitions", float(transitions), unit="steps")
+    def report(self, result: RunResult) -> None:
+        merge, extra = self.merge, result.extra
+        extra["replay_shards"] = float(self.service.num_shards)
+        extra["learners"] = float(self.coordinator.num_learners)
+        extra["learner_rounds"] = float(merge["rounds"])
+        extra["sampled_rows"] = float(merge["rows_pulled"])
+        extra["sampled_rows_per_s"] = float(merge["sampled_rows_per_s"])
+        extra["learner_utilization"] = float(merge["utilization"])
+        extra["staleness_mean"] = float(merge["staleness_mean"])
+        extra["staleness_max"] = float(merge["staleness_max"])
+        for stats in self.shard_stats:
+            extra[f"shard{stats['shard']}_ingested"] = float(stats["ingested"])
+            extra[f"shard{stats['shard']}_sampled"] = float(stats["sampled"])
+        telemetry = self.telemetry
+        if telemetry is None:
+            return
         telemetry.counter(
-            "steps_per_second", result.extra["steps_per_second"], unit="steps/s"
+            "service.sampled_rows_per_s", extra["sampled_rows_per_s"], unit="rows/s"
         )
         telemetry.counter(
-            "service.sampled_rows_per_s",
-            result.extra["sampled_rows_per_s"],
-            unit="rows/s",
+            "service.learner_utilization", extra["learner_utilization"], unit="fraction"
         )
-        telemetry.counter(
-            "service.learner_utilization",
-            result.extra["learner_utilization"],
-            unit="fraction",
-        )
-        telemetry.counter(
-            "service.staleness_max", result.extra["staleness_max"], unit="versions"
-        )
-        for stats in shard_stats:
+        telemetry.counter("service.staleness_max", extra["staleness_max"], unit="versions")
+        for stats in self.shard_stats:
+            prefix = f"service.shard{stats['shard']}"
+            telemetry.counter(f"{prefix}.ingested", float(stats["ingested"]), unit="rows")
+            telemetry.counter(f"{prefix}.sampled", float(stats["sampled"]), unit="rows")
             telemetry.counter(
-                f"service.shard{stats['shard']}.ingested",
-                float(stats["ingested"]),
-                unit="rows",
+                f"{prefix}.queue_peak", float(stats["queue_peak"]), unit="requests"
             )
-            telemetry.counter(
-                f"service.shard{stats['shard']}.sampled",
-                float(stats["sampled"]),
-                unit="rows",
-            )
-            telemetry.counter(
-                f"service.shard{stats['shard']}.queue_peak",
-                float(stats["queue_peak"]),
-                unit="requests",
-            )
-    return result

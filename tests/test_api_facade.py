@@ -36,6 +36,14 @@ class TestTrain:
         with pytest.raises(ValueError, match="not both"):
             api.train(TINY, episodes=2, steps=2)
 
+    @pytest.mark.parametrize("mode", [{"episodes": 1}, {"steps": 4, "copies": 2}])
+    def test_manifest_records_the_run_seed_in_every_mode(self, mode, tmp_path):
+        path = tmp_path / "t.jsonl"
+        api.train(TINY, telemetry=str(path), seed=7, **mode)
+        manifest = json.loads(path.read_text().splitlines()[0])
+        assert manifest["kind"] == "manifest"
+        assert manifest["seed"] == 7
+
     def test_resolved_config_stamps_provenance_into_manifest(self):
         resolved = resolve_config(
             cli_overrides={
@@ -318,6 +326,44 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2
         assert err == f"train: {flag} must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["serve", "--users", "0"], ["sample", "--batch-size", "0"],
+         ["profile", "--rounds", "0"]],
+    )
+    def test_verbs_reject_non_positive_counts(self, argv, capsys):
+        from repro.cli import main
+
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"{argv[0]}: {argv[1]} must be >= 1, got 0\n"
+
+    def test_train_rejects_more_learners_than_agents(self, capsys):
+        from repro.cli import main
+
+        code = main(["train", "--steps", "10", "--agents", "3", "--learners", "5"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (
+            "train: --learners 5 exceeds --agents 3 "
+            "(each learner owns at least one agent)\n"
+        )
+
+    def test_per_guarded_service_request_reports_the_serial_run(self, capsys):
+        """PER asked to shard runs in process; the output says what ran."""
+        from repro.cli import main
+
+        with pytest.warns(RuntimeWarning, match="single-shard guard"):
+            code = main(
+                ["train", "--variant", "per", "--replay-shards", "2", "--steps", "60"]
+            )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "replay service" not in out and "service:" not in out
+        assert "mean step reward" in out
+        assert "end-to-end:" in out
 
     def test_train_spec_file_round_trip(self, tmp_path, capsys):
         """`repro train --spec file.toml` resolves config from the file."""

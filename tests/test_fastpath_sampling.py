@@ -254,12 +254,6 @@ class TestGatherRuns:
             buf.gather_runs([Run(len(buf), 4)])
 
 
-def legacy(method, *args, **kwargs):
-    """Call a deprecated alias, asserting it warns (aliases are graduating)."""
-    with pytest.warns(DeprecationWarning, match="is deprecated; use"):
-        return method(*args, **kwargs)
-
-
 class TestKVGatherRowsFast:
     def test_fancy_index_matches_loop(self, rng, small_replay):
         from repro.buffers import KVTransitionStore
@@ -268,7 +262,7 @@ class TestKVGatherRowsFast:
         store.ingest(small_replay.buffers)
         idx = rng.integers(0, len(small_replay), size=64)
         np.testing.assert_array_equal(
-            legacy(store.gather_rows, idx), legacy(store.gather_rows_loop, idx)
+            store.gather_joint(idx), store.gather_joint(idx, vectorized=False)
         )
 
     def test_loop_path_validation_preserved(self, small_replay):
@@ -276,11 +270,11 @@ class TestKVGatherRowsFast:
 
         store = KVTransitionStore(small_replay.capacity, small_replay.schema)
         store.ingest(small_replay.buffers)
-        for gather in (store.gather_rows, store.gather_rows_loop):
+        for vectorized in (True, False):
             with pytest.raises(IndexError, match="out of range"):
-                legacy(gather, [len(small_replay)])
+                store.gather_joint([len(small_replay)], vectorized=vectorized)
             with pytest.raises(ValueError, match="empty index list"):
-                legacy(gather, [])
+                store.gather_joint([], vectorized=vectorized)
 
 
 # -- whole-sampler scalar/fast equivalence -------------------------------------------

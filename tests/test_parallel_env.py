@@ -54,12 +54,6 @@ def leaked_segments():
     return glob.glob(f"/dev/shm/{SHM_PREFIX}*")
 
 
-def legacy(method, *args, **kwargs):
-    """Call a deprecated alias, asserting it warns (aliases are graduating)."""
-    with pytest.warns(DeprecationWarning, match="is deprecated; use"):
-        return method(*args, **kwargs)
-
-
 class TestTrajectoryEquivalence:
     @pytest.mark.parametrize("workers", [2, 3])
     def test_bit_identical_to_sync(self, workers):
@@ -104,7 +98,7 @@ class TestTrajectoryEquivalence:
             par.close()
 
     def test_packed_rows_ingest_like_field_writes(self):
-        """add_packed_batch(packed_transitions()) == add_batch(field views)
+        """ingest(packed_rows=packed_transitions()) == ingest(field views)
         for both storage engines."""
         factories = make_env_factories(ENV, N, K, seed=9)
         par = ParallelVectorEnv(factories, num_workers=2)
@@ -120,16 +114,15 @@ class TestTrajectoryEquivalence:
             for _ in range(6):
                 par.step(soft_actions(par, rng))
                 rows = par.packed_transitions()
-                legacy(packed.add_packed_batch, rows)
+                packed.ingest(packed_rows=rows)
                 views = par.transition_views()
-                legacy(
-                    split.add_batch,
+                split.ingest((
                     [v[0] for v in views],
                     [v[1] for v in views],
                     [v[2] for v in views],
                     [v[3] for v in views],
                     [v[4] for v in views],
-                )
+                ))
             assert len(packed) == len(split) == 6 * K
             for a in range(N):
                 pb, sb = packed.buffers[a], split.buffers[a]

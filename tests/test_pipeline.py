@@ -29,12 +29,16 @@ ENV, N = "cooperative_navigation", 3
 
 
 def small_config(**overrides):
+    """Serial in-process topology pinned, so REPRO_REPLAY_SHARDS cannot
+    route these reference runs through the replay service."""
     base = dict(
         batch_size=32,
         buffer_capacity=2048,
         update_every=20,
         min_buffer_fill=64,
         hidden_units=(16, 16),
+        replay_shards=1,
+        learners=1,
     )
     base.update(overrides)
     return MARLConfig(**base)
@@ -51,7 +55,7 @@ def run_pipeline(algorithm, variant, workers, prefetch, steps=50, copies=4, **cf
     vec = make_vector_env(ENV, N, copies, seed=5, workers=workers)
     trainer = build(algorithm, variant, vec, config)
     try:
-        result = train_steps(vec, trainer, steps, prefetch=prefetch, prefetch_seed=99)
+        result = train_steps(vec, trainer, steps, prefetch=prefetch, seed=99)
     finally:
         if hasattr(vec, "close"):
             vec.close()

@@ -1,11 +1,12 @@
 """Service-mode training tests (PR 7 tentpole acceptance).
 
-The mandatory anchor: ``train_service(shards=1, learners=1)`` IS the
-serial loop, bit for bit — property-tested across MADDPG and MATD3,
-N ∈ {3, 6}, with and without prioritized replay.  PER configs asked to
-shard must degrade *explicitly* (warning + guard) to that same serial
-path.  The multi-process mode is smoke-tested end to end: learners make
-progress, parameters merge back, counters reconcile, nothing leaks.
+The mandatory anchor: ``train_steps`` on a config with
+``replay_shards=1, learners=1`` IS the serial batched loop, bit for bit —
+property-tested across MADDPG and MATD3, N ∈ {3, 6}, with and without
+prioritized replay.  PER configs asked to shard must degrade
+*explicitly* (warning + guard) to that same serial path.  The
+multi-process mode is smoke-tested end to end: learners make progress,
+parameters merge back, counters reconcile, nothing leaks.
 """
 
 from __future__ import annotations
@@ -17,18 +18,25 @@ import numpy as np
 import pytest
 
 from repro.envs.factory import make_vector_env
-from repro.training import train_service, train_steps
+from repro.training import collect_steps, train_steps
 
 from tests.test_pipeline import ENV, assert_trainers_equal, build, small_config
 
 
-def make_pair(algorithm, variant, num_agents, copies=4, **cfg):
-    """Two identically seeded (vec_env, trainer) pairs."""
+def make_pair(algorithm, variant, num_agents, copies=4, **topology):
+    """Two identically seeded (vec_env, trainer) pairs: a serial reference
+    and one whose config carries ``topology``."""
     pairs = []
-    for _ in range(2):
+    for cfg in ({}, topology):
         vec = make_vector_env(ENV, num_agents, copies, seed=5)
         pairs.append((vec, build(algorithm, variant, vec, small_config(**cfg))))
     return pairs
+
+
+def service_config(**overrides):
+    base = dict(replay_shards=2, learners=2, min_buffer_fill=32, batch_size=16)
+    base.update(overrides)
+    return small_config(**base)
 
 
 def shm_leaks():
@@ -36,15 +44,17 @@ def shm_leaks():
 
 
 class TestSerialAnchor:
-    """shards=1, learners=1 reproduces train_steps bit for bit."""
+    """shards=1, learners=1 reproduces the serial batched loop bit for bit."""
 
     @pytest.mark.parametrize("algorithm", ["maddpg", "matd3"])
     @pytest.mark.parametrize("num_agents", [3, 6])
     def test_uniform_bit_identity(self, algorithm, num_agents):
-        (vec_a, ref), (vec_b, svc) = make_pair(algorithm, "baseline", num_agents)
+        (vec_a, ref), (vec_b, svc) = make_pair(
+            algorithm, "baseline", num_agents, replay_shards=1, learners=1
+        )
         try:
-            train_steps(vec_a, ref, 50)
-            result = train_service(vec_b, svc, 50, shards=1, learners=1)
+            collect_steps(vec_a, ref, 50)
+            result = train_steps(vec_b, svc, 50)
         finally:
             vec_a.close() if hasattr(vec_a, "close") else None
             vec_b.close() if hasattr(vec_b, "close") else None
@@ -54,10 +64,12 @@ class TestSerialAnchor:
     @pytest.mark.parametrize("algorithm", ["maddpg", "matd3"])
     @pytest.mark.parametrize("num_agents", [3, 6])
     def test_prioritized_bit_identity(self, algorithm, num_agents):
-        (vec_a, ref), (vec_b, svc) = make_pair(algorithm, "per", num_agents)
+        (vec_a, ref), (vec_b, svc) = make_pair(
+            algorithm, "per", num_agents, replay_shards=1, learners=1
+        )
         try:
-            train_steps(vec_a, ref, 50)
-            train_service(vec_b, svc, 50, shards=1, learners=1)
+            collect_steps(vec_a, ref, 50)
+            train_steps(vec_b, svc, 50)
         finally:
             vec_a.close() if hasattr(vec_a, "close") else None
             vec_b.close() if hasattr(vec_b, "close") else None
@@ -68,11 +80,13 @@ class TestPerGuard:
     """PER + sharding degrades explicitly to the serial anchor."""
 
     def test_warns_and_runs_serial_bit_identically(self):
-        (vec_a, ref), (vec_b, svc) = make_pair("maddpg", "per", 3)
+        (vec_a, ref), (vec_b, svc) = make_pair(
+            "maddpg", "per", 3, replay_shards=2, learners=2
+        )
         try:
             train_steps(vec_a, ref, 40)
             with pytest.warns(RuntimeWarning, match="single-shard guard"):
-                result = train_service(vec_b, svc, 40, shards=2, learners=2)
+                result = train_steps(vec_b, svc, 40)
         finally:
             vec_a.close() if hasattr(vec_a, "close") else None
             vec_b.close() if hasattr(vec_b, "close") else None
@@ -83,11 +97,11 @@ class TestPerGuard:
         from repro.telemetry import memory_recorder
 
         vec = make_vector_env(ENV, 3, 2, seed=5)
-        trainer = build("maddpg", "per", vec, small_config())
+        trainer = build("maddpg", "per", vec, small_config(replay_shards=4))
         recorder = memory_recorder()
         try:
             with pytest.warns(RuntimeWarning):
-                train_service(vec, trainer, 5, shards=4, telemetry=recorder)
+                train_steps(vec, trainer, 5, telemetry=recorder)
         finally:
             vec.close() if hasattr(vec, "close") else None
         names = [r.name for r in recorder.sink.of_kind("counter")]
@@ -100,17 +114,13 @@ class TestServiceMode:
     def test_end_to_end_smoke(self):
         leaks_before = set(shm_leaks())
         vec = make_vector_env(ENV, 3, 4, seed=5)
-        trainer = build(
-            "maddpg", "baseline", vec, small_config(min_buffer_fill=32, batch_size=16)
-        )
+        trainer = build("maddpg", "baseline", vec, service_config())
         initial = [
             [p.value.copy() for p in agent.actor.parameters()]
             for agent in trainer.agents
         ]
         try:
-            result = train_service(
-                vec, trainer, 60, shards=2, learners=2, env_name=ENV, seed=7
-            )
+            result = train_steps(vec, trainer, 60, env_name=ENV, seed=7)
         finally:
             vec.close() if hasattr(vec, "close") else None
 
@@ -135,27 +145,39 @@ class TestServiceMode:
         assert set(shm_leaks()) <= leaks_before
 
     def test_env_var_topology_resolution(self, monkeypatch):
-        """shards=None resolves through REPRO_REPLAY_SHARDS."""
+        """replay_shards=None resolves through REPRO_REPLAY_SHARDS."""
         monkeypatch.setenv("REPRO_REPLAY_SHARDS", "2")
         vec = make_vector_env(ENV, 3, 2, seed=5)
         trainer = build(
-            "maddpg", "baseline", vec, small_config(min_buffer_fill=32, batch_size=16)
+            "maddpg", "baseline", vec, service_config(replay_shards=None, learners=1)
         )
         try:
-            result = train_service(vec, trainer, 30, learners=1, max_rounds=4, seed=3)
+            result = train_steps(vec, trainer, 30, seed=3)
         finally:
             vec.close() if hasattr(vec, "close") else None
         assert result.extra["replay_shards"] == 2.0
 
     def test_learner_phase_totals_merged(self):
         vec = make_vector_env(ENV, 3, 2, seed=5)
-        trainer = build(
-            "maddpg", "baseline", vec, small_config(min_buffer_fill=32, batch_size=16)
-        )
+        trainer = build("maddpg", "baseline", vec, service_config())
         try:
-            result = train_service(vec, trainer, 40, shards=2, learners=2, seed=1)
+            result = train_steps(vec, trainer, 40, seed=1)
         finally:
             vec.close() if hasattr(vec, "close") else None
         totals = result.phase_totals
         assert totals.get("service_push", 0.0) > 0.0
         assert any(k.startswith("learner.") for k in totals), totals
+
+    def test_reports_the_learner_count_that_ran(self):
+        """More learners than agents clamp to one learner per agent, and
+        the result says so instead of echoing the config."""
+        vec = make_vector_env(ENV, 3, 2, seed=5)
+        trainer = build(
+            "maddpg", "baseline", vec, service_config(replay_shards=1, learners=5)
+        )
+        try:
+            result = train_steps(vec, trainer, 20, seed=2)
+        finally:
+            vec.close() if hasattr(vec, "close") else None
+        assert result.extra["learners"] == 3.0
+        assert result.extra["replay_shards"] == 1.0

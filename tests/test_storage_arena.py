@@ -112,12 +112,6 @@ class TestArenaViews:
         assert tm.buffers[0].next_index == tm.arena.next_index
 
 
-def legacy(method, *args, **kwargs):
-    """Call a deprecated alias, asserting it warns (aliases are graduating)."""
-    with pytest.warns(DeprecationWarning, match="is deprecated; use"):
-        return method(*args, **kwargs)
-
-
 class TestByteEquivalence:
     @settings(max_examples=25, deadline=None)
     @given(
@@ -185,19 +179,19 @@ class TestByteEquivalence:
         size = len(am)
         idx_rng = np.random.default_rng(seed + 2)
         idx = idx_rng.integers(0, size, size=6)
-        for fa, ft in zip(legacy(am.gather_all, idx), legacy(tm.gather_all, idx)):
+        for fa, ft in zip(am.gather(idx), tm.gather(idx)):
             for a, t in zip(fa, ft):
                 assert_bytes_equal(a, t)
         for fa, ft in zip(
-            legacy(am.gather_all, idx, vectorized=True),
-            legacy(tm.gather_all, idx, vectorized=True),
+            am.gather(idx, vectorized=True),
+            tm.gather(idx, vectorized=True),
         ):
             for a, t in zip(fa, ft):
                 assert_bytes_equal(a, t)
         # runs, including one that wraps past the valid region
         runs = [Run(start=0, length=min(3, size)), Run(start=size - 1, length=2)]
         for fa, ft in zip(
-            legacy(am.gather_runs_all, runs), legacy(tm.gather_runs_all, runs)
+            am.gather(runs=runs, vectorized=True), tm.gather(runs=runs, vectorized=True)
         ):
             for a, t in zip(fa, ft):
                 assert_bytes_equal(a, t)
@@ -212,8 +206,8 @@ class TestByteEquivalence:
         rew = [rng.standard_normal(k) for _ in am.buffers]
         nxt = [rng.standard_normal((k, b.obs_dim)) for b in am.buffers]
         done = [rng.integers(2, size=k).astype(np.float64) for _ in am.buffers]
-        legacy(am.add_batch, obs, act, rew, nxt, done)
-        legacy(tm.add_batch, obs, act, rew, nxt, done)
+        am.ingest((obs, act, rew, nxt, done))
+        tm.ingest((obs, act, rew, nxt, done))
         assert tm.arena.next_index == am.buffers[0].next_index
         for ba, bt in zip(am.buffers, tm.buffers):
             assert_bytes_equal(ba._obs, np.ascontiguousarray(bt._obs))

@@ -17,7 +17,7 @@ from repro.nn import RunningNormalizer
 from repro.training import (
     MetricsCollector,
     collect_steps,
-    run_episode_with_metrics,
+    run_episode,
 )
 
 
@@ -224,7 +224,7 @@ class TestMetricsCollector:
             "maddpg", "baseline", env.obs_dims, env.act_dims, config=cfg, seed=0
         )
         collector = MetricsCollector()
-        totals = run_episode_with_metrics(env, trainer, collector)
+        totals = run_episode(env, trainer, metrics=collector)
         assert len(totals) == 3
         assert len(collector) == 1
         assert "mean_collisions" in collector.summary()
@@ -236,7 +236,7 @@ class TestMetricsCollector:
             "maddpg", "baseline", env.obs_dims, env.act_dims, config=cfg, seed=0
         )
         collector = MetricsCollector()
-        run_episode_with_metrics(env, trainer, collector)
+        run_episode(env, trainer, metrics=collector)
         assert "mean_coverage" in collector.summary()
 
 
